@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <atomic>
-
 #include "common/log.hpp"
 
 namespace crac {
@@ -58,7 +56,7 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 
   const std::size_t chunks = std::min(n, workers);
-  std::atomic<std::size_t> done{0};
+  std::size_t done = 0;  // guarded by done_mu
   std::mutex done_mu;
   std::condition_variable done_cv;
 
@@ -67,15 +65,16 @@ void ThreadPool::parallel_for(std::size_t n,
     const std::size_t end = n * (c + 1) / chunks;
     submit([&, begin, end] {
       for (std::size_t i = begin; i < end; ++i) body(i);
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_one();
-      }
+      // Count under done_mu: once the caller sees done == chunks it returns
+      // and pops done_mu/done_cv off its stack, so the last worker must
+      // already hold the lock when it makes the count visible.
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (++done == chunks) done_cv.notify_one();
     });
   }
 
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done.load(std::memory_order_acquire) == chunks; });
+  done_cv.wait(lock, [&] { return done == chunks; });
 }
 
 void ThreadPool::drain() {

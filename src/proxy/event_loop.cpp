@@ -157,10 +157,12 @@ void EventLoop::launch_session(Connection& conn) {
   pending_session_conn_ = 0;
   pool_->submit([this, id, fd, fn = std::move(fn)] {
     const bool keep_conn = fn(fd);
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_.push_back(SessionDone{id, keep_conn});
-    }
+    // Wake the loop while still holding done_mu_: once the loop can see
+    // this completion (perhaps woken by another session's write) it may
+    // retire the last session, return from run() and destroy *this, so the
+    // worker must not touch wake_fd_ after releasing the lock.
+    std::lock_guard<std::mutex> lock(done_mu_);
+    done_.push_back(SessionDone{id, keep_conn});
     const std::uint64_t one = 1;
     (void)::write(wake_fd_, &one, sizeof(one));
   });

@@ -163,16 +163,16 @@ Status Device::arm_snapshot() {
   regions.push_back(
       {reinterpret_cast<std::uintptr_t>(uvm_->arena_base()),
        config_.managed_capacity});
-  CRAC_RETURN_IF_ERROR(snap_overlay_->arm(regions));
-  // Re-protect every managed page so the first post-freeze write faults
-  // into the preserve path. Without this, a page left writable by an
-  // earlier fault epoch could be mutated invisibly under the snapshot.
-  Status armed = uvm_->arm_all();
-  if (!armed.ok()) {
-    snap_overlay_->release();
-    return armed;
-  }
-  return OkStatus();
+  // Re-protect every managed page *before* the overlay reports armed(), so
+  // the first post-freeze write faults into the preserve path. In the other
+  // order a page left writable by an earlier fault epoch takes a direct host
+  // store with no fault, and the mutation slips under the snapshot. A fault
+  // between the two steps unprotects its page without a preserve; only a
+  // writer that ignores the freeze can take one, and no stop-the-world
+  // capture is consistent under such a writer either. Pages left PROT_NONE
+  // by a failed arm_all() just fault back in.
+  CRAC_RETURN_IF_ERROR(uvm_->arm_all());
+  return snap_overlay_->arm(regions);
 }
 
 void Device::release_snapshot() { snap_overlay_->release(); }

@@ -3,15 +3,23 @@
 // endpoint i-1 is shipping into endpoint i — concurrent SHIP_CKPT and
 // RECV_CKPT traffic on one process, around a full ring.
 //
-// Deadlock discipline: ship_checkpoint and recv_checkpoint each hold their
-// endpoint's RPC lock for the whole stream, so a ring of blocking verbs can
-// cycle-wait. Two rules break the cycle without breaking the overlap:
+// Ordering and deadlock discipline: ship_checkpoint and recv_checkpoint
+// each hold their endpoint's RPC lock for the whole stream, so one
+// endpoint's ship and recv run one after the other, in whichever order
+// their threads take the lock, and a ring of blocking verbs can cycle-wait.
+// Three rules fix the order and break the cycle without breaking the
+// overlap:
 //   * each ring edge is a socketpair whose kernel buffer absorbs an entire
 //     shipment, so a ship never blocks on its successor's recv;
-//   * each recv gates on POLLIN before taking its lock, so it only starts
-//     once its predecessor's ship is already streaming.
-// With those, recv(i) drains ship(i-1) concurrently with ship(i) filling
-// its edge — the advertised overlap, deterministically deadlock-free.
+//   * each recv gates on POLLIN of its own outgoing edge before taking its
+//     lock: its endpoint's ship is then already streaming under the lock
+//     and finishes first, so an endpoint ships the state it held before
+//     the rotation, never the state it is about to receive;
+//   * each recv also gates on POLLIN of its incoming edge, so it only
+//     starts once its predecessor's ship is already streaming.
+// With those, recv(i) drains ship(i-1) while ship(i-1) may still be
+// filling the edge, every edge in flight at once — deterministically
+// ordered and deadlock-free.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -85,6 +93,7 @@ void rotate_ring(std::array<std::unique_ptr<ProxyClientApi>, kRingSize>& ring) {
     });
     receivers.emplace_back([&, i] {
       const int src = edge[(i + kRingSize - 1) % kRingSize][0];
+      wait_readable(edge[i][0]);  // this endpoint's own ship holds the lock
       wait_readable(src);
       recv_st[i] = ring[i]->recv_checkpoint(src);
     });
